@@ -9,9 +9,10 @@ placement differs.
 
 The pieces:
 
-* :mod:`repro.cluster.protocol` — length-prefixed JSON-over-TCP frames
-  with an optional binary blob (sealed artifacts ride side-by-side with
-  the control messages, no base64).
+* :mod:`repro.wire` — length-prefixed JSON-over-TCP frames with an
+  optional binary blob (sealed artifacts ride side-by-side with the
+  control messages, no base64), shared with :mod:`repro.serve`; the
+  cluster's own :data:`PROTOCOL_VERSION` gates the hello exchange.
 * :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, an
   :class:`~repro.orchestrator.scheduler.ExecutionBackend` that serves
   ready tasks to workers under lease-based assignment.  A worker that
@@ -28,6 +29,9 @@ Entry points: ``repro cluster serve``, ``repro cluster worker``, and
 ``repro run-all --backend cluster --coordinator HOST:PORT``.
 """
 
-from .protocol import PROTOCOL_VERSION, parse_address
+from ..wire import parse_address
+
+#: Bumped on any wire-format change; checked during the hello exchange.
+PROTOCOL_VERSION = 1
 
 __all__ = ["PROTOCOL_VERSION", "parse_address"]

@@ -36,10 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import obs
+from .. import obs, wire
 from ..orchestrator.scheduler import Completion, ExecutionBackend, TaskSpec
 from ..orchestrator.store import ArtifactStore, CorruptArtifact
-from . import protocol, shipping
+from . import PROTOCOL_VERSION, shipping
 
 #: Default lease: a worker silent this long forfeits its tasks.
 DEFAULT_LEASE_SECONDS = 15.0
@@ -109,7 +109,7 @@ class ClusterBackend(ExecutionBackend):
         self._closed = False
         self._conns: List[socket.socket] = []
 
-        host, port = protocol.parse_address(bind)
+        host, port = wire.parse_address(bind)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -304,10 +304,10 @@ class ClusterBackend(ExecutionBackend):
         """
         try:
             while True:
-                message, blob = protocol.recv_frame(conn)
+                message, blob = wire.recv_frame(conn)
                 reply, reply_blob = self._dispatch(message, blob)
-                protocol.send_frame(conn, reply, reply_blob)
-        except (protocol.ProtocolError, OSError):
+                wire.send_frame(conn, reply, reply_blob)
+        except (wire.ProtocolError, OSError):
             pass
         finally:
             with self._lock:
@@ -343,11 +343,11 @@ class ClusterBackend(ExecutionBackend):
 
     def _on_hello(self, message: dict, blob: bytes) -> Tuple[dict, bytes]:
         version = message.get("version")
-        if version != protocol.PROTOCOL_VERSION:
+        if version != PROTOCOL_VERSION:
             return {
                 "ok": False,
                 "error": f"protocol version mismatch "
-                         f"(coordinator {protocol.PROTOCOL_VERSION}, worker {version})",
+                         f"(coordinator {PROTOCOL_VERSION}, worker {version})",
             }, b""
         worker_id = str(message.get("worker", ""))
         with self._lock:
@@ -378,7 +378,7 @@ class ClusterBackend(ExecutionBackend):
         )
         return {
             "ok": True,
-            "version": protocol.PROTOCOL_VERSION,
+            "version": PROTOCOL_VERSION,
             "lease_seconds": self.lease_seconds,
         }, b""
 

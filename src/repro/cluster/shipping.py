@@ -32,10 +32,9 @@ import socket
 import tempfile
 from typing import Any, Optional, Tuple
 
-from .. import obs
+from .. import obs, wire
 from ..orchestrator import faults
 from ..orchestrator.store import ArtifactStore, CorruptArtifact, unseal_payload
-from . import protocol
 
 #: When set (``HOST:PORT``), task processes ship artifacts through the
 #: coordinator at that address.
@@ -123,7 +122,7 @@ class ShippingStore(ArtifactStore):
             return None
         return cls(
             root,
-            protocol.parse_address(via),
+            wire.parse_address(via),
             worker_id=os.environ.get(WORKER_ID_ENV, ""),
         )
 
@@ -132,10 +131,10 @@ class ShippingStore(ArtifactStore):
         """Round trip to the coordinator, reconnecting once on error."""
         for attempt in (1, 2):
             if self._sock is None:
-                self._sock = protocol.connect(self.address, timeout=10.0)
+                self._sock = wire.connect(self.address, timeout=10.0)
             try:
-                return protocol.request(self._sock, message, blob)
-            except (OSError, protocol.ProtocolError):
+                return wire.request(self._sock, message, blob)
+            except (OSError, wire.ProtocolError):
                 self.close_connection()
                 if attempt == 2:
                     raise
@@ -172,7 +171,7 @@ class ShippingStore(ArtifactStore):
                 reply, blob = self._request(
                     {"op": "get", "worker": self.worker_id, "kind": kind, "key": key}
                 )
-            except (OSError, protocol.ProtocolError):
+            except (OSError, wire.ProtocolError):
                 obs.add("ship.errors")
                 return False
             if not reply.get("found"):
@@ -210,7 +209,7 @@ class ShippingStore(ArtifactStore):
                     {"op": "put", "worker": self.worker_id, "kind": kind, "key": key},
                     blob,
                 )
-            except (OSError, protocol.ProtocolError):
+            except (OSError, wire.ProtocolError):
                 obs.add("ship.errors")
                 return False
             if reply.get("ok"):

@@ -42,7 +42,8 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..orchestrator import faults
-from . import protocol, shipping
+from .. import wire
+from . import PROTOCOL_VERSION, shipping
 
 #: How long a starting worker keeps retrying its first connection —
 #: generous, so workers may be launched before the coordinator binds.
@@ -105,7 +106,7 @@ class ClusterWorker:
     ) -> None:
         if not cache_dir:
             raise ValueError("a cluster worker needs --cache-dir (its L2 store)")
-        self.address = protocol.parse_address(coordinator)
+        self.address = wire.parse_address(coordinator)
         self.slots = resolve_slots(slots)
         self.cache_dir = cache_dir
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
@@ -126,16 +127,16 @@ class ClusterWorker:
     # Connection management
     # ------------------------------------------------------------------
     def _hello(self, sock: socket.socket) -> dict:
-        reply, _ = protocol.request(sock, {
+        reply, _ = wire.request(sock, {
             "op": "hello",
             "worker": self.worker_id,
             "slots": self.slots,
             "pid": os.getpid(),
             "host": socket.gethostname(),
-            "version": protocol.PROTOCOL_VERSION,
+            "version": PROTOCOL_VERSION,
         })
         if not reply.get("ok"):
-            raise protocol.ProtocolError(
+            raise wire.ProtocolError(
                 f"coordinator rejected hello: {reply.get('error', '?')}"
             )
         return reply
@@ -146,9 +147,9 @@ class ClusterWorker:
         error: Optional[BaseException] = None
         while time.monotonic() < deadline:
             try:
-                sock = protocol.connect(self.address, timeout=5.0)
+                sock = wire.connect(self.address, timeout=5.0)
                 welcome = self._hello(sock)
-            except (OSError, protocol.ProtocolError) as exc:
+            except (OSError, wire.ProtocolError) as exc:
                 error = exc
                 time.sleep(_RETRY_SLEEP)
                 continue
@@ -181,9 +182,9 @@ class ClusterWorker:
             if self._sock is None:
                 self._connect(RECONNECT_WINDOW_SECONDS)
             try:
-                reply, _ = protocol.request(self._sock, message, blob)
+                reply, _ = wire.request(self._sock, message, blob)
                 return reply
-            except (OSError, protocol.ProtocolError):
+            except (OSError, wire.ProtocolError):
                 self._drop_connection()
                 if attempt == 2:
                     raise _Disconnected("coordinator connection lost")

@@ -93,7 +93,7 @@ def run_hash_op(ctx: Optional[ExperimentContext] = None) -> FigureResult:
         reductions = []
         for app in APPS:
             base = ctx.baseline(app, 64, input_id=1)
-            run = ctx.whisper_run(app, config=config, tag=f"hash-{op}")
+            run = ctx.whisper_run(app, config=config)
             reductions.append(run.misprediction_reduction(base))
         value = mean(reductions)
         if value > best[1]:

@@ -26,10 +26,8 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     train_trace = ctx.trace(APP, 0)
     profile = ctx.profile(APP)
 
-    optimizer = WhisperOptimizer()
-    trained = optimizer.train(profile)
-    placement = optimizer.inject(program, trained, trace=train_trace)
-    runtime = optimizer.build_runtime(placement)
+    trained, placement = ctx.whisper(APP)
+    runtime = WhisperOptimizer().build_runtime(placement)
 
     test_trace = ctx.trace(APP, 1)
     baseline = ctx.baseline(APP, 64, input_id=1)
@@ -42,7 +40,7 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
         ["1. profiling", "baseline mispredictions", profile.total_mispredictions],
         ["2. analysis", "candidate branches", trained.candidates_considered],
         ["2. analysis", "hints accepted", trained.n_hints],
-        ["2. analysis", "training seconds", round(trained.training_seconds, 2)],
+        ["2. analysis", "training work units", trained.work_units],
         ["3. injection", "brhints placed", placement.n_hints],
         ["3. injection", "dropped (coverage)", len(placement.dropped)],
         ["3. injection", "static instructions +%",

@@ -26,9 +26,7 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     for app in ctx.datacenter_apps():
         base = ctx.baseline(app, 64, input_id=1)
         rombf8 = ctx.rombf_run(app, 8).misprediction_reduction(base)
-        hashed = ctx.whisper_run(
-            app, config=HASHED_ONLY, tag="hashed-only"
-        ).misprediction_reduction(base)
+        hashed = ctx.whisper_run(app, config=HASHED_ONLY).misprediction_reduction(base)
         full = ctx.whisper_run(app).misprediction_reduction(base)
 
         hashed_gain = hashed - rombf8

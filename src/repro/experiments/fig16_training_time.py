@@ -2,9 +2,9 @@
 
 Paper (log scale): 4b-ROMBF trains fastest, Whisper is significantly
 cheaper than 8b-ROMBF, and BranchNet needs thousands of seconds even on
-a V100 GPU.  We report wall-clock seconds of this reproduction's
-implementations *and* a modelled work counter (formula-evaluations /
-SGD MACs) that is implementation-independent.
+a V100 GPU.  We report a modelled work counter (formula-evaluations /
+SGD MACs) that is implementation-independent and, unlike wall-clock
+seconds, the same on every run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ APPS: Sequence[str] = ("mysql", "cassandra", "kafka")
 def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Reproduce Fig 16: Average offline training cost per application."""
     ctx = ctx or global_context()
-    seconds = {"4b-ROMBF": [], "8b-ROMBF": [], "Whisper": [], "BranchNet": []}
     work = {"4b-ROMBF": [], "8b-ROMBF": [], "Whisper": [], "BranchNet": []}
     for app in APPS:
         r4 = ctx.rombf(app, 4)
@@ -30,17 +29,16 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
         for name, result in (
             ("4b-ROMBF", r4), ("8b-ROMBF", r8), ("Whisper", w), ("BranchNet", bn),
         ):
-            seconds[name].append(result.training_seconds)
             work[name].append(result.work_units)
 
     rows = [
-        [name, round(mean(seconds[name]), 2), f"{mean(work[name]):.2e}"]
+        [name, f"{mean(work[name]):.2e}"]
         for name in ("4b-ROMBF", "8b-ROMBF", "Whisper", "BranchNet")
     ]
     return FigureResult(
         figure="Fig 16",
         title="Average offline training cost per application",
-        headers=["technique", "wall seconds", "modelled work units"],
+        headers=["technique", "modelled work units"],
         rows=rows,
         paper_note="BranchNet >> 8b-ROMBF > Whisper > 4b-ROMBF (log scale)",
         summary=(

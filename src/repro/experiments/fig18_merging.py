@@ -10,11 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..analysis.metrics import mean
-from ..branchnet import BranchNetRuntime
-from ..bpu import simulate
-from ..bpu.scaling import scaled_tage_sc_l
-from ..core.rombf import RombfOptimizer
-from .runner import ExperimentContext, FigureResult, deploy_budget, global_context
+from .runner import ExperimentContext, FigureResult, global_context
 
 APPS: Sequence[str] = ("mysql", "wordpress", "kafka")
 TEST_INPUT = 5
@@ -40,12 +36,11 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
                     app, 8, test_input=TEST_INPUT, train_inputs=train_inputs
                 ).misprediction_reduction(base)
             )
-            bn = ctx.branchnet(app, train_inputs)
-            runtime = BranchNetRuntime(deploy_budget(bn, None))
-            bn_run = simulate(
-                ctx.trace(app, TEST_INPUT), scaled_tage_sc_l(64), runtime=runtime
-            ).with_warmup(ctx.warmup)
-            bn_red.append(bn_run.misprediction_reduction(base))
+            bn_red.append(
+                ctx.branchnet_run(
+                    app, None, test_input=TEST_INPUT, train_inputs=train_inputs
+                ).misprediction_reduction(base)
+            )
         rows.append(
             [
                 f"{level}-input" + ("s" if level > 1 else ""),

@@ -19,7 +19,7 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     reductions, mpkis = [], []
     for app in ctx.datacenter_apps():
         base = ctx.baseline(app, 128, input_id=1)
-        whisper = ctx.whisper_run(app, label_kb=128, tag="128kb")
+        whisper = ctx.whisper_run(app, label_kb=128)
         reduction = whisper.misprediction_reduction(base)
         rows.append([app, round(base.mpki, 2), round(reduction, 1)])
         reductions.append(reduction)

@@ -24,7 +24,7 @@ def run(ctx: Optional[ExperimentContext] = None) -> FigureResult:
         reductions, mpkis = [], []
         for app in APPS:
             base = ctx.baseline(app, size, input_id=1)
-            whisper = ctx.whisper_run(app, label_kb=size, tag=f"size{size}")
+            whisper = ctx.whisper_run(app, label_kb=size)
             reductions.append(whisper.misprediction_reduction(base))
             mpkis.append(base.mpki)
         last_reduction = mean(reductions)

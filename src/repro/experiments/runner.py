@@ -5,13 +5,15 @@ Every figure/table module exposes ``run(ctx) -> FigureResult``.  The
 baseline predictor runs, profiles, trained optimizers — so the full
 benchmark suite shares work instead of re-simulating per figure.
 
-Caching is two-level: the in-process dictionaries are the L1, and an
+Caching is two-level behind one memo path.  The L1 is one in-process
+dict keyed by the store key: the content-addressed
+:func:`~repro.orchestrator.keys.artifact_key` over the app spec and
+every request parameter, so a key is complete by construction.  The
 optional :class:`~repro.orchestrator.store.ArtifactStore` (the L2)
-persists the same artifacts on disk under content-addressed keys, so
-separate processes — repeated CLI invocations, parallel ``run-all``
-workers — reuse each other's work.  Set ``REPRO_CACHE_DIR`` (or pass
-``store=``) to enable the L2; without it the context behaves exactly as
-before.
+persists the same artifacts on disk under the same keys, so separate
+processes — repeated CLI invocations, parallel ``run-all`` workers —
+reuse each other's work.  Set ``REPRO_CACHE_DIR`` (or pass ``store=``)
+to enable the L2; without it the context is purely in-process.
 
 Scale control: the ``REPRO_SCALE`` environment variable selects the
 trace length per application (``small`` / ``medium`` / ``full``).  The
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..branchnet import BranchNetOptimizer, BranchNetResult, BranchNetRuntime
 from ..bpu import MTageScPredictor, PredictionResult, simulate
@@ -32,7 +34,7 @@ from ..bpu.scaling import scaled_tage_sc_l
 from ..core.rombf import RombfOptimizer, RombfResult
 from ..core.whisper import WhisperConfig, WhisperOptimizer, WhisperResult
 from ..core.injection import HintPlacement
-from ..orchestrator.keys import artifact_key, kernel_fields
+from ..orchestrator.keys import artifact_key
 from ..orchestrator.store import ArtifactStore
 from ..profiling.profile import BranchProfile
 from ..profiling.trace import Trace
@@ -108,40 +110,28 @@ class ExperimentContext:
         self.n_events = n_events if n_events is not None else events_per_app()
         #: L2 artifact store; None keeps the context purely in-process.
         self.store = store if store is not None else ArtifactStore.from_env()
-        self._traces: Dict[Tuple, Trace] = {}
-        self._baseline: Dict[Tuple, PredictionResult] = {}
-        self._profiles: Dict[Tuple, BranchProfile] = {}
-        self._whisper: Dict[Tuple, Tuple[WhisperResult, HintPlacement]] = {}
-        # One dict per optimized-run family: distinct key schemes must
-        # not share a namespace, or a future change to one scheme could
-        # silently collide with another.
-        self._whisper_runs: Dict[Tuple, PredictionResult] = {}
-        self._rombf_runs: Dict[Tuple, PredictionResult] = {}
-        self._branchnet_runs: Dict[Tuple, PredictionResult] = {}
-        self._rombf: Dict[Tuple, RombfResult] = {}
-        self._branchnet: Dict[Tuple, BranchNetResult] = {}
-        self._timing: Dict[Tuple, SimResult] = {}
+        #: L1: every artifact this context has built or loaded, by store key.
+        self._memo: Dict[str, Any] = {}
 
-    # ------------------------------------------------------------------
-    # L2 plumbing
-    # ------------------------------------------------------------------
-    def _store_key(self, kind: str, app: str, **fields) -> str:
-        """Content key: the full app spec plus the request parameters.
+    def _artifact(self, kind: str, app: str, compute: Callable[[], Any], **fields) -> Any:
+        """The one memo path: L1, then the L2 store, then ``compute()``.
 
-        ``kernel_fields()`` is merged in so the cache splits per replay
-        kernel if the kernels ever stop being bit-identical; today it
-        contributes nothing and the cache is shared across kernels.
+        The key is the content-addressed store key over the full app
+        spec plus ``fields``, so whatever determines an artifact's
+        content also tells it apart in process.
         """
-        return artifact_key(kind, spec=get_spec(app), **kernel_fields(), **fields)
-
-    def _store_get(self, kind: str, key: Optional[str]):
-        if self.store is None or key is None:
-            return None
-        return self.store.get(kind, key, trace_provider=self.trace)
-
-    def _store_put(self, kind: str, key: Optional[str], obj) -> None:
-        if self.store is not None and key is not None:
-            self.store.put(kind, key, obj)
+        key = artifact_key(kind, spec=get_spec(app), **fields)
+        if key in self._memo:
+            return self._memo[key]
+        found = None
+        if self.store is not None:
+            found = self.store.get(kind, key, trace_provider=self.trace)
+        if found is None:
+            found = compute()
+            if self.store is not None:
+                self.store.put(kind, key, found)
+        self._memo[key] = found
+        return found
 
     # ------------------------------------------------------------------
     # Workload side
@@ -149,18 +139,10 @@ class ExperimentContext:
     def trace(self, app: str, input_id: int = 0, n_events: Optional[int] = None) -> Trace:
         """The (cached) synthetic trace for one (app, input) pair."""
         n = n_events or self.n_events
-        key = (app, input_id, n)
-        if key not in self._traces:
-            skey = None
-            trace = None
-            if self.store is not None:
-                skey = self._store_key("trace", app, input_id=input_id, n_events=n)
-                trace = self.store.get("trace", skey)
-            if trace is None:
-                trace = generate_trace(get_spec(app), input_id, n)
-                self._store_put("trace", skey, trace)
-            self._traces[key] = trace
-        return self._traces[key]
+        return self._artifact(
+            "trace", app, lambda: generate_trace(get_spec(app), input_id, n),
+            input_id=input_id, n_events=n,
+        )
 
     def program(self, app: str):
         return get_program(get_spec(app))
@@ -185,41 +167,23 @@ class ExperimentContext:
     ) -> PredictionResult:
         """Cached TAGE-SC-L replay of one (app, input) trace."""
         n = n_events or self.n_events
-        key = ("base", app, label_kb, input_id, n)
-        if key not in self._baseline:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "prediction", app, variant="baseline", predictor="tage-sc-l",
-                    label_kb=label_kb, input_id=input_id, n_events=n,
-                )
-                result = self._store_get("prediction", skey)
-            if result is None:
-                trace = self.trace(app, input_id, n)
-                result = simulate(trace, scaled_tage_sc_l(label_kb))
-                self._store_put("prediction", skey, result)
-            self._baseline[key] = result
-        return self._baseline[key].with_warmup(self.warmup)
+        result = self._artifact(
+            "prediction", app,
+            lambda: simulate(self.trace(app, input_id, n), scaled_tage_sc_l(label_kb)),
+            variant="baseline", predictor="tage-sc-l",
+            label_kb=label_kb, input_id=input_id, n_events=n,
+        )
+        return result.with_warmup(self.warmup)
 
     def mtage(self, app: str, input_id: int = 0) -> PredictionResult:
         """Unconstrained MTAGE-SC replay (the paper's limit baseline)."""
-        key = ("mtage", app, input_id, self.n_events)
-        if key not in self._baseline:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "prediction", app, variant="baseline", predictor="mtage-sc",
-                    input_id=input_id, n_events=self.n_events,
-                )
-                result = self._store_get("prediction", skey)
-            if result is None:
-                trace = self.trace(app, input_id)
-                result = simulate(trace, MTageScPredictor())
-                self._store_put("prediction", skey, result)
-            self._baseline[key] = result
-        return self._baseline[key].with_warmup(self.warmup)
+        result = self._artifact(
+            "prediction", app,
+            lambda: simulate(self.trace(app, input_id), MTageScPredictor()),
+            variant="baseline", predictor="mtage-sc",
+            input_id=input_id, n_events=self.n_events,
+        )
+        return result.with_warmup(self.warmup)
 
     # ------------------------------------------------------------------
     # Profiles and optimizers
@@ -228,24 +192,14 @@ class ExperimentContext:
         self, app: str, input_ids: Tuple[int, ...] = (0,), label_kb: float = 64
     ) -> BranchProfile:
         """Cached branch profile collected from the app's train traces."""
-        key = ("profile", app, input_ids, label_kb, self.n_events)
-        if key not in self._profiles:
-            skey = None
-            profile = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "profile", app, input_ids=input_ids, label_kb=label_kb,
-                    n_events=self.n_events,
-                )
-                profile = self._store_get("profile", skey)
-            if profile is None:
-                traces = [self.trace(app, i) for i in input_ids]
-                profile = BranchProfile.collect(
-                    traces, lambda: scaled_tage_sc_l(label_kb)
-                )
-                self._store_put("profile", skey, profile)
-            self._profiles[key] = profile
-        return self._profiles[key]
+        return self._artifact(
+            "profile", app,
+            lambda: BranchProfile.collect(
+                [self.trace(app, i) for i in input_ids],
+                lambda: scaled_tage_sc_l(label_kb),
+            ),
+            input_ids=input_ids, label_kb=label_kb, n_events=self.n_events,
+        )
 
     def whisper(
         self,
@@ -253,31 +207,23 @@ class ExperimentContext:
         input_ids: Tuple[int, ...] = (0,),
         label_kb: float = 64,
         config: Optional[WhisperConfig] = None,
-        tag: str = "",
     ) -> Tuple[WhisperResult, HintPlacement]:
         """Cached Whisper optimization (hints + placement + runtime)."""
         effective = config or WhisperConfig()
-        key = ("whisper", app, input_ids, label_kb, tag, self.n_events)
-        if key not in self._whisper:
-            skey = None
-            artifact = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "whisper", app, input_ids=input_ids, label_kb=label_kb,
-                    config=effective, n_events=self.n_events,
-                )
-                artifact = self._store_get("whisper", skey)
-            if artifact is None:
-                profile = self.profile(app, input_ids, label_kb)
-                optimizer = WhisperOptimizer(effective)
-                trained = optimizer.train(profile)
-                placement = optimizer.inject(
-                    self.program(app), trained, trace=profile.traces[0]
-                )
-                artifact = (trained, placement)
-                self._store_put("whisper", skey, artifact)
-            self._whisper[key] = artifact
-        return self._whisper[key]
+
+        def compute() -> Tuple[WhisperResult, HintPlacement]:
+            profile = self.profile(app, input_ids, label_kb)
+            optimizer = WhisperOptimizer(effective)
+            trained = optimizer.train(profile)
+            placement = optimizer.inject(
+                self.program(app), trained, trace=profile.traces[0]
+            )
+            return trained, placement
+
+        return self._artifact(
+            "whisper", app, compute, input_ids=input_ids, label_kb=label_kb,
+            config=effective, n_events=self.n_events,
+        )
 
     def whisper_run(
         self,
@@ -286,121 +232,77 @@ class ExperimentContext:
         train_inputs: Tuple[int, ...] = (0,),
         label_kb: float = 64,
         config: Optional[WhisperConfig] = None,
-        tag: str = "",
     ) -> PredictionResult:
         """Whisper-optimized run: train on ``train_inputs``, test on
         ``test_input`` (cross-input by default, as in the paper)."""
         effective = config or WhisperConfig()
-        key = ("wrun", app, test_input, train_inputs, label_kb, tag, self.n_events)
-        if key not in self._whisper_runs:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "prediction", app, variant="whisper", test_input=test_input,
-                    train_inputs=train_inputs, label_kb=label_kb,
-                    config=effective, n_events=self.n_events,
-                )
-                result = self._store_get("prediction", skey)
-            if result is None:
-                trained, placement = self.whisper(app, train_inputs, label_kb, config, tag)
-                optimizer = WhisperOptimizer(effective)
-                runtime = optimizer.build_runtime(placement)
-                trace = self.trace(app, test_input)
-                result = simulate(trace, scaled_tage_sc_l(label_kb), runtime=runtime)
-                self._store_put("prediction", skey, result)
-            self._whisper_runs[key] = result
-        return self._whisper_runs[key].with_warmup(self.warmup)
+
+        def compute() -> PredictionResult:
+            _, placement = self.whisper(app, train_inputs, label_kb, effective)
+            runtime = WhisperOptimizer(effective).build_runtime(placement)
+            trace = self.trace(app, test_input)
+            return simulate(trace, scaled_tage_sc_l(label_kb), runtime=runtime)
+
+        result = self._artifact(
+            "prediction", app, compute, variant="whisper", test_input=test_input,
+            train_inputs=train_inputs, label_kb=label_kb, config=effective,
+            n_events=self.n_events,
+        )
+        return result.with_warmup(self.warmup)
 
     def rombf(
         self, app: str, n_bits: int, input_ids: Tuple[int, ...] = (0,)
     ) -> RombfResult:
         """Trained n-bit ROMBF tables for one app's profile."""
-        key = ("rombf", app, n_bits, input_ids, self.n_events)
-        if key not in self._rombf:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "rombf", app, n_bits=n_bits, input_ids=input_ids,
-                    n_events=self.n_events,
-                )
-                result = self._store_get("rombf", skey)
-            if result is None:
-                profile = self.profile(app, input_ids)
-                result = RombfOptimizer(n_bits=n_bits).train(profile)
-                self._store_put("rombf", skey, result)
-            self._rombf[key] = result
-        return self._rombf[key]
+        return self._artifact(
+            "rombf", app,
+            lambda: RombfOptimizer(n_bits=n_bits).train(self.profile(app, input_ids)),
+            n_bits=n_bits, input_ids=input_ids, n_events=self.n_events,
+        )
 
     def rombf_run(
         self, app: str, n_bits: int, test_input: int = 1,
         train_inputs: Tuple[int, ...] = (0,),
     ) -> PredictionResult:
         """Cross-input replay with the trained ROMBF runtime attached."""
-        key = ("rrun", app, n_bits, test_input, train_inputs, self.n_events)
-        if key not in self._rombf_runs:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "prediction", app, variant="rombf", n_bits=n_bits,
-                    test_input=test_input, train_inputs=train_inputs,
-                    n_events=self.n_events,
-                )
-                result = self._store_get("prediction", skey)
-            if result is None:
-                trained = self.rombf(app, n_bits, train_inputs)
-                runtime = RombfOptimizer(n_bits=n_bits).build_runtime(trained)
-                trace = self.trace(app, test_input)
-                result = simulate(trace, scaled_tage_sc_l(64), runtime=runtime)
-                self._store_put("prediction", skey, result)
-            self._rombf_runs[key] = result
-        return self._rombf_runs[key].with_warmup(self.warmup)
+
+        def compute() -> PredictionResult:
+            trained = self.rombf(app, n_bits, train_inputs)
+            runtime = RombfOptimizer(n_bits=n_bits).build_runtime(trained)
+            trace = self.trace(app, test_input)
+            return simulate(trace, scaled_tage_sc_l(64), runtime=runtime)
+
+        result = self._artifact(
+            "prediction", app, compute, variant="rombf", n_bits=n_bits,
+            test_input=test_input, train_inputs=train_inputs, n_events=self.n_events,
+        )
+        return result.with_warmup(self.warmup)
 
     def branchnet(self, app: str, input_ids: Tuple[int, ...] = (0,)) -> BranchNetResult:
         """Unlimited-variant training; budget variants deploy subsets."""
-        key = ("bn", app, input_ids, self.n_events)
-        if key not in self._branchnet:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "branchnet", app, input_ids=input_ids, n_events=self.n_events,
-                )
-                result = self._store_get("branchnet", skey)
-            if result is None:
-                profile = self.profile(app, input_ids)
-                result = BranchNetOptimizer(budget_bytes=None).train(profile)
-                self._store_put("branchnet", skey, result)
-            self._branchnet[key] = result
-        return self._branchnet[key]
+        return self._artifact(
+            "branchnet", app,
+            lambda: BranchNetOptimizer(budget_bytes=None).train(self.profile(app, input_ids)),
+            input_ids=input_ids, n_events=self.n_events,
+        )
 
     def branchnet_run(
         self, app: str, budget_bytes: Optional[int], test_input: int = 1,
         train_inputs: Tuple[int, ...] = (0,),
     ) -> PredictionResult:
         """Cross-input replay with budget-limited BranchNet CNNs deployed."""
-        key = ("bnrun", app, budget_bytes, test_input, train_inputs, self.n_events)
-        if key not in self._branchnet_runs:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "prediction", app, variant="branchnet", budget_bytes=budget_bytes,
-                    test_input=test_input, train_inputs=train_inputs,
-                    n_events=self.n_events,
-                )
-                result = self._store_get("prediction", skey)
-            if result is None:
-                trained = self.branchnet(app, train_inputs)
-                models = deploy_budget(trained, budget_bytes)
-                runtime = BranchNetRuntime(models)
-                trace = self.trace(app, test_input)
-                result = simulate(trace, scaled_tage_sc_l(64), runtime=runtime)
-                self._store_put("prediction", skey, result)
-            self._branchnet_runs[key] = result
-        return self._branchnet_runs[key].with_warmup(self.warmup)
+
+        def compute() -> PredictionResult:
+            trained = self.branchnet(app, train_inputs)
+            runtime = BranchNetRuntime(deploy_budget(trained, budget_bytes))
+            trace = self.trace(app, test_input)
+            return simulate(trace, scaled_tage_sc_l(64), runtime=runtime)
+
+        result = self._artifact(
+            "prediction", app, compute, variant="branchnet", budget_bytes=budget_bytes,
+            test_input=test_input, train_inputs=train_inputs, n_events=self.n_events,
+        )
+        return result.with_warmup(self.warmup)
 
     # ------------------------------------------------------------------
     # Timing
@@ -410,9 +312,8 @@ class ExperimentContext:
         """A stable identity for the prediction feeding a timing run.
 
         The ``name`` label alone is not enough: two configurations can
-        share a label (or pass different predictions under the same
-        figure-local tag), and a ``name``-keyed cache would silently
-        return the wrong timing result.  Misprediction/hint counts pin
+        share a label, and a ``name``-keyed cache would silently return
+        the wrong timing result.  Misprediction/hint counts pin
         the actual prediction content.
         """
         if prediction is None:
@@ -440,26 +341,15 @@ class ExperimentContext:
         name: str = "",
     ) -> SimResult:
         """Cached timing simulation for one predictor configuration."""
-        pred_id = self._prediction_discriminator(prediction)
-        place_id = self._placement_discriminator(placement)
-        key = ("timing", app, name, pred_id, place_id, input_id, self.n_events)
-        if key not in self._timing:
-            skey = None
-            result = None
-            if self.store is not None:
-                skey = self._store_key(
-                    "timing", app, name=name, prediction=pred_id,
-                    placement=place_id, input_id=input_id, n_events=self.n_events,
-                )
-                result = self._store_get("timing", skey)
-            if result is None:
-                trace = self.trace(app, input_id)
-                result = simulate_timing(
-                    trace, prediction, placement=placement, name=name
-                )
-                self._store_put("timing", skey, result)
-            self._timing[key] = result
-        return self._timing[key]
+        return self._artifact(
+            "timing", app,
+            lambda: simulate_timing(
+                self.trace(app, input_id), prediction, placement=placement, name=name
+            ),
+            name=name, prediction=self._prediction_discriminator(prediction),
+            placement=self._placement_discriminator(placement),
+            input_id=input_id, n_events=self.n_events,
+        )
 
 
 def deploy_budget(result: BranchNetResult, budget_bytes: Optional[int]) -> Dict:

@@ -12,6 +12,10 @@ optimizers, timing results — is addressed by a SHA-256 digest over a
 * :data:`CODE_SCHEMA_VERSION`, bumped whenever the semantics of the
   producing code or the on-disk encoding change.
 
+The replay-kernel tier is deliberately not a key field: the scalar,
+vector and native tiers are verified bit-identical, so one cache serves
+every ``REPRO_KERNEL`` setting.
+
 Keys deliberately avoid Python's salted ``hash()`` so the same request
 maps to the same file across processes, machines, and interpreter
 restarts — the property that lets parallel workers share one cache
@@ -35,28 +39,6 @@ from typing import Any, Mapping
 #: integrity footer; pre-v3 files would all land in quarantine, so a key
 #: bump retires them as clean misses instead.
 CODE_SCHEMA_VERSION = 3
-
-#: The scalar, vector, and native replay kernels are verified
-#: bit-identical (tests/test_vector_equivalence.py, tests/
-#: test_native.py), so artifact *content* does not depend on the kernel
-#: choice and one cache serves every ``REPRO_KERNEL`` setting.  If a
-#: future kernel intentionally diverges (e.g. an approximate fast
-#: path), flip this to True: the kernel's *equivalence class* (not its
-#: name — see :data:`KERNEL_EQUIVALENCE`) then participates in every
-#: store key via :func:`kernel_fields`, splitting the cache per class.
-KERNEL_AFFECTS_ARTIFACTS = False
-
-#: Equivalence class per kernel tier.  All three current tiers map to
-#: ``"exact"``: they produce byte-identical artifacts, so cache hits
-#: must never depend on which tier produced an entry (determinism is
-#: the house invariant — a native-produced trace must hit for a
-#: scalar-mode reader and vice versa).  A deliberately approximate
-#: future tier would get its own class name here.
-KERNEL_EQUIVALENCE = {
-    "scalar": "exact",
-    "vector": "exact",
-    "native": "exact",
-}
 
 #: Hex digits kept from the SHA-256 digest; 32 (128 bits) is far beyond
 #: collision concerns for a per-project cache while keeping names short.
@@ -113,25 +95,6 @@ def artifact_key(kind: str, **fields: Any) -> str:
     """
     payload = {"kind": kind, "schema": CODE_SCHEMA_VERSION, "fields": fields}
     return fingerprint(payload)
-
-
-def kernel_fields() -> Mapping[str, Any]:
-    """Key fields contributed by the active replay-kernel choice.
-
-    Empty while the kernels are bit-identical (the verified invariant);
-    callers merge the result into their ``artifact_key`` fields so the
-    cache splits automatically if :data:`KERNEL_AFFECTS_ARTIFACTS` is
-    ever turned on.  Even then, what participates is the kernel's
-    *equivalence class* from :data:`KERNEL_EQUIVALENCE`, so tiers that
-    produce identical bytes (scalar/vector/native today) always share
-    one cache entry.
-    """
-    if not KERNEL_AFFECTS_ARTIFACTS:
-        return {}
-    from ..bpu.runner import resolve_kernel
-
-    kernel = resolve_kernel(None)
-    return {"kernel": KERNEL_EQUIVALENCE.get(kernel, kernel)}
 
 
 def spec_fingerprint(spec: Any) -> str:

@@ -67,3 +67,38 @@ def tiny_whisper(tiny_profile, tiny_program):
     )
     runtime = optimizer.build_runtime(placement)
     return optimizer, trained, placement, runtime
+
+
+class _KeyRecorder:
+    """Stand-in artifact store: records every lookup and answers it with
+    a hit, so a provider call derives its key but never computes."""
+
+    def __init__(self) -> None:
+        self.keys = []
+
+    def get(self, kind, key, **_decode_ctx):
+        self.keys.append((kind, key))
+        return self
+
+    def put(self, kind, key, obj):
+        raise AssertionError("a recorded lookup never computes")
+
+    def with_warmup(self, fraction):
+        return self
+
+
+@pytest.fixture(scope="session")
+def lookup_key():
+    """``lookup_key(provider, *args, ctx_events=N, **kwargs)`` returns the
+    ``(kind, key)`` one :class:`ExperimentContext` provider call looks up
+    on a fresh ``N``-event context."""
+    from repro.experiments.runner import ExperimentContext
+
+    def lookup(provider, *args, ctx_events=3_000, **kwargs):
+        recorder = _KeyRecorder()
+        ctx = ExperimentContext(n_events=ctx_events, store=recorder)
+        getattr(ctx, provider)(*args, **kwargs)
+        assert len(recorder.keys) == 1
+        return recorder.keys[0]
+
+    return lookup

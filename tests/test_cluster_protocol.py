@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.cluster import protocol
+from repro import wire
 from repro.cluster.shipping import commit_sealed_blob, read_sealed_blob
 from repro.orchestrator.store import (
     ArtifactStore,
@@ -32,33 +32,33 @@ def pair():
 class TestFraming:
     def test_roundtrip_message_only(self, pair):
         left, right = pair
-        protocol.send_frame(left, {"op": "poll", "free": 2})
-        message, blob = protocol.recv_frame(right)
+        wire.send_frame(left, {"op": "poll", "free": 2})
+        message, blob = wire.recv_frame(right)
         assert message == {"op": "poll", "free": 2}
         assert blob == b""
 
     def test_roundtrip_with_blob(self, pair):
         left, right = pair
         payload = bytes(range(256)) * 100
-        protocol.send_frame(left, {"op": "put"}, payload)
-        message, blob = protocol.recv_frame(right)
+        wire.send_frame(left, {"op": "put"}, payload)
+        message, blob = wire.recv_frame(right)
         assert message == {"op": "put"}
         assert blob == payload
 
     def test_numpy_scalars_serialize(self, pair):
         # Task stats carry numpy scalars; they must cross as plain JSON.
         left, right = pair
-        protocol.send_frame(
+        wire.send_frame(
             left, {"mpki": np.float64(6.95), "count": np.int64(25)}
         )
-        message, _ = protocol.recv_frame(right)
+        message, _ = wire.recv_frame(right)
         assert message == {"mpki": 6.95, "count": 25}
 
     def test_clean_eof_raises_connection_closed(self, pair):
         left, right = pair
         left.close()
-        with pytest.raises(protocol.ConnectionClosed):
-            protocol.recv_frame(right)
+        with pytest.raises(wire.ConnectionClosed):
+            wire.recv_frame(right)
 
     def test_eof_mid_frame_is_a_protocol_error(self, pair):
         # A torn frame is different from a clean close: the peer died
@@ -66,53 +66,53 @@ class TestFraming:
         left, right = pair
         left.sendall(struct.pack("!II", 100, 0) + b'{"op": "tr')
         left.close()
-        with pytest.raises(protocol.ProtocolError) as excinfo:
-            protocol.recv_frame(right)
-        assert not isinstance(excinfo.value, protocol.ConnectionClosed)
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            wire.recv_frame(right)
+        assert not isinstance(excinfo.value, wire.ConnectionClosed)
 
     def test_oversize_header_rejected_without_alloc(self, pair):
         left, right = pair
-        left.sendall(struct.pack("!II", protocol.MAX_MESSAGE_BYTES + 1, 0))
-        with pytest.raises(protocol.ProtocolError, match="out of range"):
-            protocol.recv_frame(right)
+        left.sendall(struct.pack("!II", wire.MAX_MESSAGE_BYTES + 1, 0))
+        with pytest.raises(wire.ProtocolError, match="out of range"):
+            wire.recv_frame(right)
 
     def test_non_object_json_rejected(self, pair):
         left, right = pair
         encoded = b"[1, 2, 3]"
         left.sendall(struct.pack("!II", len(encoded), 0) + encoded)
-        with pytest.raises(protocol.ProtocolError, match="not an object"):
-            protocol.recv_frame(right)
+        with pytest.raises(wire.ProtocolError, match="not an object"):
+            wire.recv_frame(right)
 
     def test_undecodable_json_rejected(self, pair):
         left, right = pair
         encoded = b"{not json"
         left.sendall(struct.pack("!II", len(encoded), 0) + encoded)
-        with pytest.raises(protocol.ProtocolError, match="undecodable"):
-            protocol.recv_frame(right)
+        with pytest.raises(wire.ProtocolError, match="undecodable"):
+            wire.recv_frame(right)
 
     def test_request_is_one_round_trip(self, pair):
         left, right = pair
-        protocol.send_frame(right, {"ok": True}, b"reply-blob")
-        reply, blob = protocol.request(left, {"op": "get"})
+        wire.send_frame(right, {"ok": True}, b"reply-blob")
+        reply, blob = wire.request(left, {"op": "get"})
         assert reply == {"ok": True}
         assert blob == b"reply-blob"
-        message, _ = protocol.recv_frame(right)
+        message, _ = wire.recv_frame(right)
         assert message == {"op": "get"}
 
 
 class TestParseAddress:
     def test_host_port(self):
-        assert protocol.parse_address("10.0.0.5:7781") == ("10.0.0.5", 7781)
+        assert wire.parse_address("10.0.0.5:7781") == ("10.0.0.5", 7781)
 
     def test_whitespace_tolerated(self):
-        assert protocol.parse_address(" localhost:80 ") == ("localhost", 80)
+        assert wire.parse_address(" localhost:80 ") == ("localhost", 80)
 
     @pytest.mark.parametrize(
         "text", ["", "localhost", ":80", "host:", "host:abc", "host:70000"]
     )
     def test_junk_rejected(self, text):
         with pytest.raises(ValueError):
-            protocol.parse_address(text)
+            wire.parse_address(text)
 
 
 class TestSealedBlobShipping:
@@ -165,40 +165,26 @@ class TestSealedBlobShipping:
 class TestSharedWire:
     """The framing is one shared module (`repro.wire`), not a copy.
 
-    `repro.cluster.protocol` and `repro.serve` must speak literally the
-    same bytes; these tests pin the re-export identity and the edge
-    cases the serve layer newly leans on (zero-length blobs, blob-size
-    limits, frames torn mid-blob).
+    The cluster and `repro.serve` speak literally the same bytes; these
+    tests pin the edge cases the serve layer leans on (zero-length
+    blobs, blob-size limits, frames torn mid-blob).
     """
-
-    def test_cluster_protocol_reexports_repro_wire(self):
-        from repro import wire
-
-        assert protocol.send_frame is wire.send_frame
-        assert protocol.recv_frame is wire.recv_frame
-        assert protocol.request is wire.request
-        assert protocol.parse_address is wire.parse_address
-        assert protocol.connect is wire.connect
-        assert protocol.ProtocolError is wire.ProtocolError
-        assert protocol.ConnectionClosed is wire.ConnectionClosed
-        assert protocol.MAX_MESSAGE_BYTES == wire.MAX_MESSAGE_BYTES
-        assert protocol.MAX_BLOB_BYTES == wire.MAX_BLOB_BYTES
 
     def test_zero_length_blob_roundtrip(self, pair):
         # An explicit empty blob and no blob are the same frame.
         left, right = pair
-        protocol.send_frame(left, {"op": "shard", "seq": 0}, b"")
-        message, blob = protocol.recv_frame(right)
+        wire.send_frame(left, {"op": "shard", "seq": 0}, b"")
+        message, blob = wire.recv_frame(right)
         assert message == {"op": "shard", "seq": 0}
         assert blob == b""
 
     def test_oversize_blob_header_rejected_without_alloc(self, pair):
         left, right = pair
         left.sendall(
-            struct.pack("!II", 2, protocol.MAX_BLOB_BYTES + 1) + b"{}"
+            struct.pack("!II", 2, wire.MAX_BLOB_BYTES + 1) + b"{}"
         )
-        with pytest.raises(protocol.ProtocolError, match="out of range"):
-            protocol.recv_frame(right)
+        with pytest.raises(wire.ProtocolError, match="out of range"):
+            wire.recv_frame(right)
 
     def test_eof_mid_blob_is_a_protocol_error(self, pair):
         # The header promised 1000 blob bytes; the peer died after 10.
@@ -209,14 +195,14 @@ class TestSharedWire:
             struct.pack("!II", len(body), 1000) + body + b"\x00" * 10
         )
         left.close()
-        with pytest.raises(protocol.ProtocolError) as excinfo:
-            protocol.recv_frame(right)
-        assert not isinstance(excinfo.value, protocol.ConnectionClosed)
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            wire.recv_frame(right)
+        assert not isinstance(excinfo.value, wire.ConnectionClosed)
 
     def test_partial_header_then_eof_is_a_protocol_error(self, pair):
         left, right = pair
         left.sendall(b"\x00\x00")  # 2 of the 8 header bytes
         left.close()
-        with pytest.raises(protocol.ProtocolError) as excinfo:
-            protocol.recv_frame(right)
-        assert not isinstance(excinfo.value, protocol.ConnectionClosed)
+        with pytest.raises(wire.ProtocolError) as excinfo:
+            wire.recv_frame(right)
+        assert not isinstance(excinfo.value, wire.ConnectionClosed)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.bpu.runner import VALID_KERNELS
 from repro.orchestrator import keys
 from repro.orchestrator.keys import (
     artifact_key,
@@ -103,60 +104,20 @@ class TestArtifactKey:
 
 
 class TestKernelFields:
-    """Kernel-choice propagation into store keys (vector-kernel PR)."""
+    """The replay-kernel choice stays out of store keys."""
 
-    def test_kernels_share_the_cache_by_default(self, monkeypatch):
+    def test_kernels_share_the_cache_by_default(self, monkeypatch, lookup_key):
         """Bit-identical kernels must map to the same artifact keys, so
         a cache warmed under one REPRO_KERNEL serves the others."""
-        assert keys.KERNEL_AFFECTS_ARTIFACTS is False
-        assert keys.kernel_fields() == {}
-        spec = get_spec("mysql")
         per_kernel = {}
-        for kernel in ("scalar", "vector", "native"):
+        for kernel in VALID_KERNELS:
             monkeypatch.setenv("REPRO_KERNEL", kernel)
-            per_kernel[kernel] = artifact_key(
-                "timing", spec=spec, **keys.kernel_fields(), input_id=1, n_events=1000
+            per_kernel[kernel] = (
+                lookup_key("trace", "mysql"),
+                lookup_key("baseline", "mysql", 64, input_id=1),
+                lookup_key("whisper_run", "mysql"),
             )
         assert len(set(per_kernel.values())) == 1
-
-    def test_exact_tiers_share_the_cache_even_when_keys_split(self, monkeypatch):
-        """With KERNEL_AFFECTS_ARTIFACTS on, what enters the key is the
-        equivalence class, so the three exact tiers still share one
-        cache entry (determinism is the house invariant)."""
-        monkeypatch.setattr(keys, "KERNEL_AFFECTS_ARTIFACTS", True)
-        assert all(
-            keys.KERNEL_EQUIVALENCE[k] == "exact"
-            for k in ("scalar", "vector", "native")
-        )
-        spec = get_spec("mysql")
-        per_kernel = {}
-        for kernel in ("scalar", "vector", "native"):
-            monkeypatch.setenv("REPRO_KERNEL", kernel)
-            assert keys.kernel_fields() == {"kernel": "exact"}
-            per_kernel[kernel] = artifact_key(
-                "timing", spec=spec, **keys.kernel_fields(), input_id=1, n_events=1000
-            )
-        assert len(set(per_kernel.values())) == 1
-
-    def test_divergent_kernels_would_split_the_cache(self, monkeypatch):
-        """A tier declared non-exact gets its own cache partition."""
-        monkeypatch.setattr(keys, "KERNEL_AFFECTS_ARTIFACTS", True)
-        monkeypatch.setattr(
-            keys,
-            "KERNEL_EQUIVALENCE",
-            {**keys.KERNEL_EQUIVALENCE, "native": "approx-v1"},
-        )
-        spec = get_spec("mysql")
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        vector_key = artifact_key(
-            "timing", spec=spec, **keys.kernel_fields(), input_id=1, n_events=1000
-        )
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        assert keys.kernel_fields() == {"kernel": "approx-v1"}
-        native_key = artifact_key(
-            "timing", spec=spec, **keys.kernel_fields(), input_id=1, n_events=1000
-        )
-        assert vector_key != native_key
 
     def test_schema_is_v2_for_vector_kernel_timing(self):
         """The timing recomposition changed cycle float association; v1

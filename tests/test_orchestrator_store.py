@@ -8,10 +8,16 @@ indistinguishable from the originals.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bpu import PredictionResult
 from repro.branchnet import BUDGET_8KB
+from repro.core.injection import HintPlacement
+from repro.core.whisper import WhisperConfig
 from repro.experiments.runner import ExperimentContext
 from repro.orchestrator.store import ArtifactStore
+from repro.workloads.registry import DATACENTER_APPS
 
 EVENTS = 3_000
 APP = "mysql"
@@ -201,10 +207,161 @@ class TestContextCacheKeys:
         assert hinted.hint_instructions > 0
         assert bare.hint_instructions == 0
 
-    def test_run_families_use_separate_dicts(self, producer):
-        ctx, _ = producer
-        assert len(ctx._whisper_runs) >= 1
-        assert len(ctx._rombf_runs) >= 1
-        assert len(ctx._branchnet_runs) >= 1
-        assert not set(ctx._whisper_runs) & set(ctx._rombf_runs)
-        assert not set(ctx._whisper_runs) & set(ctx._branchnet_runs)
+    def test_run_families_get_distinct_keys(self, lookup_key):
+        """Whisper, ROMBF and BranchNet runs share the ``prediction``
+        kind and their other arguments, so only the key's ``variant``
+        keeps them apart."""
+        keys = {
+            lookup_key("whisper_run", APP),
+            lookup_key("rombf_run", APP, 8),
+            lookup_key("branchnet_run", APP, None),
+        }
+        assert len(keys) == 3
+
+    def test_whisper_run_config_change_on_one_context(self):
+        """Asking one context for two configs must not return the first
+        config's run for the second (the key holds the config)."""
+        config_a = WhisperConfig()
+        config_b = WhisperConfig(max_candidates=1)
+        fresh_a = ExperimentContext(n_events=EVENTS, store=None).whisper_run(
+            APP, config=config_a
+        )
+        fresh_b = ExperimentContext(n_events=EVENTS, store=None).whisper_run(
+            APP, config=config_b
+        )
+        assert int(fresh_a.hinted.sum()) != int(fresh_b.hinted.sum())
+
+        ctx = ExperimentContext(n_events=EVENTS, store=None)
+        for config, fresh in ((config_a, fresh_a), (config_b, fresh_b)):
+            run = ctx.whisper_run(APP, config=config)
+            assert np.array_equal(run.correct, fresh.correct)
+            assert np.array_equal(run.hinted, fresh.hinted)
+
+
+def _other(strategy, base):
+    return strategy.filter(lambda value: value != base)
+
+
+_INPUTS = st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple)
+_CONFIGS = st.one_of(
+    st.builds(WhisperConfig, explore_fraction=st.floats(0.001, 1.0)),
+    st.builds(WhisperConfig, max_candidates=st.integers(1, 500)),
+    st.builds(WhisperConfig, hash_op=st.sampled_from(["and", "or"])),
+    st.builds(WhisperConfig, hint_buffer_entries=st.none() | st.integers(1, 64)),
+).filter(lambda config: config != WhisperConfig())
+
+
+def _prediction(**changes) -> PredictionResult:
+    fields = dict(
+        app=APP,
+        predictor_name="tage-sc-l-64KB",
+        correct=np.array([True, False, True, True, False, True]),
+        cond_event_indices=np.arange(6),
+        hinted=np.array([False, True, False, False, False, True]),
+    )
+    fields.update(changes)
+    return PredictionResult(**fields)
+
+
+def _flip(name):
+    def flip(index):
+        array = getattr(_prediction(), name).copy()
+        array[index] = not array[index]
+        return _prediction(**{name: array})
+    return st.integers(0, 5).map(flip)
+
+
+#: A prediction differing from ``_prediction()`` in one thing the timing
+#: key claims to pin: identity, warm-up, mispredictions, hint count.
+_PREDICTIONS = st.one_of(
+    st.none(),
+    st.just(_prediction(predictor_name="mtage-sc")),
+    st.floats(0.2, 0.9).map(lambda f: _prediction(warmup_fraction=f)),
+    _flip("correct"),
+    _flip("hinted"),
+)
+_PLACEMENTS = st.integers(1, 20).map(
+    lambda n: HintPlacement(host_of_branch={pc: 0 for pc in range(n)})
+)
+
+#: provider -> {argument: (base value, strategy for a different value)}.
+#: An ``n_events`` of None means the context's own event count.
+_PROVIDER_ARGS = {
+    "trace": {
+        "input_id": (0, _other(st.integers(0, 9), 0)),
+        "n_events": (None, _other(st.integers(1, 10**6), EVENTS)),
+    },
+    "baseline": {
+        "label_kb": (64, _other(st.integers(8, 1024), 64)),
+        "input_id": (0, _other(st.integers(0, 9), 0)),
+        "n_events": (None, _other(st.integers(1, 10**6), EVENTS)),
+    },
+    "mtage": {"input_id": (0, _other(st.integers(0, 9), 0))},
+    "profile": {
+        "input_ids": ((0,), _other(_INPUTS, (0,))),
+        "label_kb": (64, _other(st.integers(8, 1024), 64)),
+    },
+    "whisper": {
+        "input_ids": ((0,), _other(_INPUTS, (0,))),
+        "label_kb": (64, _other(st.integers(8, 1024), 64)),
+        "config": (None, _CONFIGS),
+    },
+    "whisper_run": {
+        "test_input": (1, _other(st.integers(0, 9), 1)),
+        "train_inputs": ((0,), _other(_INPUTS, (0,))),
+        "label_kb": (64, _other(st.integers(8, 1024), 64)),
+        "config": (None, _CONFIGS),
+    },
+    "rombf": {
+        "n_bits": (8, st.just(4)),
+        "input_ids": ((0,), _other(_INPUTS, (0,))),
+    },
+    "rombf_run": {
+        "n_bits": (8, st.just(4)),
+        "test_input": (1, _other(st.integers(0, 9), 1)),
+        "train_inputs": ((0,), _other(_INPUTS, (0,))),
+    },
+    "branchnet": {"input_ids": ((0,), _other(_INPUTS, (0,)))},
+    "branchnet_run": {
+        "budget_bytes": (8192, _other(st.none() | st.integers(1, 10**6), 8192)),
+        "test_input": (1, _other(st.integers(0, 9), 1)),
+        "train_inputs": ((0,), _other(_INPUTS, (0,))),
+    },
+    "timing": {
+        "prediction": (_prediction(), _PREDICTIONS),
+        "placement": (None, _PLACEMENTS),
+        "input_id": (1, _other(st.integers(0, 9), 1)),
+        "name": ("tage64", _other(st.text(max_size=8), "tage64")),
+    },
+}
+
+
+#: Pseudo-argument: the event count of the context a provider runs on.
+CONTEXT_EVENTS = "context n_events"
+
+
+class TestProviderKeysComplete:
+    """Every provider argument is part of the key it looks up, so no
+    two distinct requests can share an in-process or stored artifact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_changing_any_argument_changes_the_key(self, lookup_key, data):
+        provider = data.draw(st.sampled_from(sorted(_PROVIDER_ARGS)), label="provider")
+        args = _PROVIDER_ARGS[provider]
+        base = {name: value for name, (value, _) in args.items()}
+        changed = data.draw(
+            st.sampled_from(sorted(args) + ["app", CONTEXT_EVENTS]), label="argument"
+        )
+        base_key = lookup_key(provider, APP, ctx_events=EVENTS, **base)
+        if changed == "app":
+            app = data.draw(_other(st.sampled_from(DATACENTER_APPS), APP))
+            other_key = lookup_key(provider, app, ctx_events=EVENTS, **base)
+        elif changed == CONTEXT_EVENTS:
+            events = data.draw(_other(st.integers(1, 10**6), EVENTS))
+            other_key = lookup_key(provider, APP, ctx_events=events, **base)
+        else:
+            value = data.draw(args[changed][1], label=changed)
+            other = dict(base, **{changed: value})
+            other_key = lookup_key(provider, APP, ctx_events=EVENTS, **other)
+        assert other_key != base_key

@@ -4,7 +4,8 @@
  * cached shared library and driven through ctypes.  Each entry point
  * replays the sequential state-update core of one predictor family over
  * pre-resolved SoA columns (the trace-pure pre-passes from
- * repro.bpu.vector are reused unchanged) and must stay bit-identical to
+ * repro.bpu.vector, except the TAGE index/tag columns, which
+ * tage_columns builds here) and must stay bit-identical to
  * the scalar reference implementation — enforced by the three-way
  * scalar/vector/native equivalence suite.
  *
@@ -212,6 +213,62 @@ static void loop_insert(Loop *L, int64_t pc)
     loop_append(L, s);
     loop_hash_put(L, pc, s);
     L->size++;
+}
+
+/* ------------------------------------------------------------------ */
+/* TAGE index/tag columns (vector.tage_column_arrays): each table's     */
+/* three folded-history registers step exactly as FoldedHistory.update  */
+/* does, and combine with the PC into the entry index and tag seen      */
+/* *before* every branch, in one pass instead of one numpy pass per     */
+/* register.  finals gets the post-run registers for predictor          */
+/* write-back.                                                          */
+/* ------------------------------------------------------------------ */
+
+static inline int64_t fold_step(int64_t comp, int64_t new_bit, int64_t old_bit,
+                                int64_t outpoint, int64_t width, int64_t mask)
+{
+    comp = (comp << 1) | new_bit;
+    comp ^= old_bit << outpoint;
+    comp ^= comp >> width;
+    return comp & mask;
+}
+
+void tage_columns(
+    int64_t n, int64_t n_tables,
+    const int64_t *pcs,       /* [n] branch PCs                          */
+    const uint8_t *taken,     /* [n]                                     */
+    const int64_t *lengths,   /* [n_tables] history length per table     */
+    int64_t log_entries, int64_t tag_bits,
+    int64_t *idx_mat,         /* [n_tables][n] out: entry indices        */
+    int64_t *tag_mat,         /* [n_tables][n] out: computed tags        */
+    int64_t *finals)          /* [n_tables][3] out: idx, tag0, tag1 regs */
+{
+    const int64_t widths[3] = {
+        log_entries, tag_bits, tag_bits > 1 ? tag_bits - 1 : 1
+    };
+    const int64_t entry_mask = ((int64_t)1 << log_entries) - 1;
+    const int64_t tag_mask = ((int64_t)1 << tag_bits) - 1;
+    for (int64_t i = 0; i < n_tables; i++) {
+        const int64_t length = lengths[i];
+        const int64_t shift = log_entries - i % 4;
+        int64_t out[3], mask[3], f[3] = {0, 0, 0};
+        for (int k = 0; k < 3; k++) {
+            out[k] = length % widths[k];
+            mask[k] = ((int64_t)1 << widths[k]) - 1;
+        }
+        int64_t *idx = idx_mat + i * n;
+        int64_t *tag = tag_mat + i * n;
+        for (int64_t j = 0; j < n; j++) {
+            const int64_t pc2 = pcs[j] >> 2;
+            idx[j] = (pc2 ^ (pc2 >> shift) ^ f[0]) & entry_mask;
+            tag[j] = (pc2 ^ f[1] ^ (f[2] << 1)) & tag_mask;
+            const int64_t new_bit = taken[j];
+            const int64_t old_bit = j >= length ? taken[j - length] : 0;
+            for (int k = 0; k < 3; k++)
+                f[k] = fold_step(f[k], new_bit, old_bit, out[k], widths[k], mask[k]);
+        }
+        for (int k = 0; k < 3; k++) finals[i * 3 + k] = f[k];
+    }
 }
 
 /* ------------------------------------------------------------------ */

@@ -51,8 +51,8 @@ from .tage import TagePredictor
 from .tage_sc_l import TageScLPredictor
 from .vector import (
     ReplayBatch,
+    _tage_geometry_key,
     sc_column_arrays,
-    tage_column_arrays,
     writeback_tage_state,
 )
 
@@ -160,6 +160,13 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.replay_perceptron.restype = None
     lib.replay_perceptron.argtypes = [
         i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+    ]
+    lib.tage_columns.restype = None
+    lib.tage_columns.argtypes = [
+        i64, i64,                    # n, n_tables
+        ptr, ptr, ptr,               # pcs, taken, lengths
+        i64, i64,                    # log_entries, tag_bits
+        ptr, ptr, ptr,               # idx_mat, tag_mat, finals
     ]
     lib.replay_tage.restype = ctypes.c_int
     lib.replay_tage.argtypes = [
@@ -305,13 +312,52 @@ def _stacked(cols) -> np.ndarray:
     return np.ascontiguousarray(np.stack(cols).astype(np.int64, copy=False))
 
 
+def native_tage_columns(tage, batch: ReplayBatch):
+    """:func:`~repro.bpu.vector.tage_column_arrays` computed by the
+    compiled ``tage_columns`` pass, as native-ready matrices.
+
+    Returns ``(idx_mat, tag_mat, bim_arr, fold_finals)``: contiguous
+    ``(n_tables, n)`` int64 index and tag matrices, the bimodal index
+    column, and per table the post-run ``[idx, tag0, tag1]`` folded
+    registers.  Cached per batch and geometry.
+    """
+
+    def build():
+        n = batch.n
+        n_tables = tage.n_tables
+        idx_mat = np.empty((n_tables, n), dtype=np.int64)
+        tag_mat = np.empty((n_tables, n), dtype=np.int64)
+        finals = np.zeros((n_tables, 3), dtype=np.int64)
+        pcs = np.ascontiguousarray(batch.pcs, dtype=np.int64)
+        taken = _u8(batch.taken)
+        lengths = np.array(tage.histories, dtype=np.int64)
+        load().tage_columns(
+            n,
+            n_tables,
+            _ptr(pcs),
+            _ptr(taken),
+            _ptr(lengths),
+            tage.log_entries,
+            tage.tag_bits,
+            _ptr(idx_mat),
+            _ptr(tag_mat),
+            _ptr(finals),
+        )
+        bim_arr = np.ascontiguousarray(
+            (batch.pcs >> 2) & tage._bimodal_mask, dtype=np.int64
+        )
+        return idx_mat, tag_mat, bim_arr, finals.tolist()
+
+    return batch.cached(("tage-cols-native",) + _tage_geometry_key(tage), build)
+
+
 @register_native_kernel(TagePredictor, TageScLPredictor)
 def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppress):
     """Native TAGE / TAGE-SC-L replay.
 
     Marshals the predictor's table state into flat int64 matrices, runs
-    the compiled state-update loop over the shared trace-pure columns
-    (:func:`~repro.bpu.vector.tage_column_arrays` /
+    the compiled state-update loop over the trace-pure columns
+    (:func:`native_tage_columns` /
     :func:`~repro.bpu.vector.sc_column_arrays`), and writes the mutated
     state back onto the predictor objects — including the loop
     predictor's LRU table, round-tripped in recency order.
@@ -326,21 +372,7 @@ def _native_tage_family(predictor, batch: ReplayBatch, hinted, hint_preds, suppr
     n_tables = tage.n_tables
     n_entries = 1 << tage.log_entries
 
-    idx_cols, tag_cols, bim_col, fold_finals = tage_column_arrays(tage, batch)
-    geometry = (
-        tage.log_entries,
-        tage.tag_bits,
-        tage._bimodal_mask,
-        tuple(tage.histories),
-    )
-    idx_mat, tag_mat, bim_arr = batch.cached(
-        ("tage-cols-native",) + geometry,
-        lambda: (
-            _stacked(idx_cols),
-            _stacked(tag_cols),
-            np.ascontiguousarray(bim_col, dtype=np.int64),
-        ),
-    )
+    idx_mat, tag_mat, bim_arr, fold_finals = native_tage_columns(tage, batch)
 
     ctrs = np.array(tage._ctrs, dtype=np.int64)
     tags = np.array(tage._tags, dtype=np.int64)

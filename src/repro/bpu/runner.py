@@ -35,11 +35,12 @@ _HISTORY_MASK = (1 << _HISTORY_BITS) - 1
 #: to ``vector`` with a warning when no C toolchain is available).
 VALID_KERNELS = ("scalar", "vector", "native")
 KERNEL_ENV_VAR = "REPRO_KERNEL"
-DEFAULT_KERNEL = "vector"
+DEFAULT_KERNEL = "native"
 
 
 def default_kernel() -> str:
-    """Session-wide kernel choice: ``REPRO_KERNEL`` env var or 'vector'."""
+    """Session-wide kernel choice: ``REPRO_KERNEL`` env var, else
+    'native' (falls back to vector without a C toolchain)."""
     value = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
     if not value:
         return DEFAULT_KERNEL
@@ -414,10 +415,10 @@ def simulate(
     ``suppress_hint_allocation=False`` disables the paper's §IV rule that
     hinted branches do not allocate predictor entries (ablation study).
 
-    ``kernel`` selects the replay implementation: ``"vector"`` (default)
-    runs the SoA batch kernels from :mod:`repro.bpu.vector`, ``"native"``
-    the JIT-compiled tier from :mod:`repro.bpu.native` (degrading to
-    vector when no backend is available), and ``"scalar"`` the original
+    ``kernel`` selects the replay implementation: ``"native"`` (default;
+    falls back to vector without a C toolchain) runs the JIT-compiled
+    tier from :mod:`repro.bpu.native`, ``"vector"`` the SoA batch
+    kernels from :mod:`repro.bpu.vector`, and ``"scalar"`` the original
     per-event reference loop.  All tiers produce bit-identical
     predictions (enforced by the three-way equivalence suite);
     ``REPRO_KERNEL`` flips the session default as an escape hatch.

@@ -54,7 +54,6 @@ from .tage_sc_l import TageScLPredictor
 
 #: Maximum history the replay context tracks (matches the runner's GHR).
 _MAX_HISTORY_BITS = 1024
-_MAX_HISTORY_BYTES = _MAX_HISTORY_BITS // 8
 
 #: Bit offset separating registers packed into one convolution stream.
 _PACK_SHIFT = 16
@@ -184,16 +183,16 @@ class ReplayBatch:
                 col[t] = value
                 if t < n:
                     value = ((value << 1) | int(bits[t])) & keep
-            for start in range(width):
-                targets = range(start, n + 1, width)
-                m = len(targets)
-                if m <= 1 or start > n:
-                    continue
-                seq = np.empty(m, dtype=np.int64)
-                seq[0] = col[start]
-                seq[1:] = delta[start : start + (m - 1) * width : width]
-                np.bitwise_xor.accumulate(seq, out=seq)
-                col[start :: width] = seq
+            # All stride classes at once: lay positions out row-major in
+            # rows of `width`, so class `s` is column `s`, and prefix-XOR
+            # the deltas down the columns (transposed, so each class is
+            # one contiguous accumulate).
+            rows = -(-(n + 1) // width)
+            if rows > 1:
+                steps = delta[: (rows - 1) * width].reshape(rows - 1, width)
+                prefix = np.bitwise_xor.accumulate(steps.T, axis=1).T
+                tail = (prefix ^ col[:width]).ravel()
+                col[width:] = tail[: n + 1 - width]
             self._fold_cache[key] = col
         return col
 
@@ -238,16 +237,16 @@ class ReplayBatch:
             pad = np.zeros(n + _MAX_HISTORY_BITS, dtype=np.uint8)
             if n:
                 pad[_MAX_HISTORY_BITS : _MAX_HISTORY_BITS + n] = self.taken
+            # packed[p] holds outcomes pad[p], pad[p-1], ..., pad[p-7] at
+            # bits 0..7, so byte k before branch t is packed[1023 + t - 8k]:
+            # a stride -8 window over one byte column, no per-bit work.
+            packed = pad.copy()
+            for bit in range(1, 8):
+                packed[bit:] |= pad[:-bit] << bit
             windows = np.lib.stride_tricks.sliding_window_view(
-                pad, _MAX_HISTORY_BITS
-            )[:n]
-            out = np.empty((n, _MAX_HISTORY_BYTES), dtype=np.uint8)
-            step = 8192  # bound the reversed-window copy packbits makes
-            for start in range(0, n, step):
-                out[start : start + step] = np.packbits(
-                    windows[start : start + step, ::-1], axis=1, bitorder="little"
-                )
-            self._bytes = out
+                packed, _MAX_HISTORY_BITS - 7
+            )
+            self._bytes = np.ascontiguousarray(windows[7 : 7 + n, ::-8])
         return self._bytes
 
     def hashed_column(self, length: int, op: str = "xor") -> np.ndarray:
@@ -449,8 +448,9 @@ def tage_column_arrays(tage, batch: ReplayBatch):
     Returns ``(idx_cols, tag_cols, bim_col, fold_finals)``: per tagged
     table, the entry index and computed tag before every conditional
     branch (int64 arrays), the bimodal index column, and the post-run
-    folded-register values for predictor write-back.  Shared by the
-    vector and native kernel tiers (cached per batch).
+    folded-register values for predictor write-back (cached per batch).
+    The native tier builds the same columns in one compiled pass
+    (:func:`repro.bpu.native.native_tage_columns`).
     """
 
     def build():

@@ -688,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kernel", choices=VALID_KERNELS, default=None,
         help="force one replay-kernel implementation for this invocation "
-        "(default: vector, or the REPRO_KERNEL environment variable)",
+        "(default: the REPRO_KERNEL environment variable, else native, "
+        "which falls back to vector without a C toolchain)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,21 +46,41 @@ from .formulas import (
 DEFAULT_EXPLORE_FRACTION = 0.001
 
 
+@lru_cache(maxsize=16)
 def fisher_yates_permutation(n: int, seed: int = 0x5A17) -> np.ndarray:
     """A Fisher-Yates (Durstenfeld) shuffle of ``range(n)``.
 
     The paper generates the random order *once* and reuses it for every
-    branch, so the permutation is a pure function of the seed.  Implemented
+    branch, so the permutation is a pure function of the seed: it is
+    memoized per ``(n, seed)`` and returned read-only.  Implemented
     explicitly (rather than ``rng.permutation``) to match the cited
     algorithm: walk from the end, swapping each slot with a uniformly
-    random earlier slot.
+    random earlier slot.  All swap indices come from one vectorised draw
+    (slot ``i`` takes a bound of ``i + 1``), which consumes the generator
+    exactly as one ``rng.integers(0, i + 1)`` call per slot would.
     """
     rng = np.random.default_rng(seed)
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    perm = list(range(n))
+    if n > 1:
+        swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+    out = np.array(perm, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=8)
+def _float_formula_table(n_inputs: int, ops_allowed: Tuple[int, ...]) -> np.ndarray:
+    """Read-only float64 copy of :func:`all_formula_table`, shared by
+    every :class:`FormulaSearch` of the same formula space.
+
+    float64 keeps the error counts exact (counts are integers well below
+    2**53), so argmin ties resolve identically to Algorithm 1.
+    """
+    table = all_formula_table(n_inputs, ops_allowed).astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,13 +157,11 @@ class FormulaSearch:
         self.fraction = fraction
         self.include_bias = include_bias
         self.space_size = formula_space_size(n_inputs, len(ops_allowed), with_invert)
-        self._permutation = fisher_yates_permutation(self.space_size, seed)
+        # Both are per-process constants: the candidates are a prefix view
+        # of the memoized permutation, the table a shared read-only array.
         n_candidates = max(1, int(round(fraction * self.space_size)))
-        self._candidates = self._permutation[:n_candidates]
-        self._table = all_formula_table(n_inputs, ops_allowed)
-        # float64 keeps the error counts exact (counts are integers well
-        # below 2**53), so argmin ties resolve identically to Algorithm 1.
-        self._table_f = self._table.astype(np.float64)
+        self._candidates = fisher_yates_permutation(self.space_size, seed)[:n_candidates]
+        self._table_f = _float_formula_table(n_inputs, ops_allowed)
 
     @property
     def candidates(self) -> np.ndarray:

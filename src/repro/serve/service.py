@@ -343,6 +343,12 @@ class HintService:
     def close(self) -> None:
         """Stop accepting, unblock the accept loop, join serving threads."""
         self._closing.set()
+        # On Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does (ENOTCONN is harmless here).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

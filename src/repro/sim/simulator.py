@@ -404,8 +404,9 @@ def simulate_timing(
     False; ``perfect_icache`` removes instruction-cache misses entirely
     (used by the limit-study decomposition).  ``kernel`` picks the
     implementation (default: the runner's resolution order — explicit
-    argument, then ``REPRO_KERNEL``, then vector); ``native`` shares the
-    vector path here, and all tiers are bit-identical.
+    argument, then ``REPRO_KERNEL``, then native, which falls back to
+    vector without a C toolchain); ``native`` shares the vector path
+    here, and all tiers are bit-identical.
     """
     mode = resolve_kernel(kernel)
 

@@ -152,8 +152,10 @@ class TestFailFastAndResume:
         self, tmp_path, monkeypatch, baseline_text
     ):
         cache, results = str(tmp_path / "cache"), str(tmp_path / "results")
+        # The first task launched fails for good, so the rest of the graph
+        # is still queued when fail-fast halts, however fast tasks run.
         monkeypatch.setenv(
-            faults.FAULTS_ENV, "crash_task:match=baseline:mysql,attempts=99"
+            faults.FAULTS_ENV, "crash_task:match=trace:cassandra,attempts=99"
         )
         manifest, _ = run_all(
             figures=FIGURES, jobs=JOBS, n_events=EVENTS,
@@ -165,7 +167,7 @@ class TestFailFastAndResume:
         assert counts[CANCELLED] >= 1  # fail-fast drained the rest
         state = load_journal(results, "chaos-ff")
         assert state is not None and state.ended  # end marker written
-        assert "baseline:mysql" not in state.completed
+        assert "trace:cassandra" not in state.completed
         assert state.completed  # the done work is journaled...
 
         monkeypatch.setenv(faults.FAULTS_ENV, "")

@@ -15,7 +15,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -73,13 +72,15 @@ def _worker_env(extra=None):
     return env
 
 
-def _start_worker(port, cache_dir, worker_id, slots=2, env=None):
+def _start_worker(port, cache_dir, worker_id, slots=2, env=None,
+                  new_session=False):
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "cluster", "worker",
          "--coordinator", f"127.0.0.1:{port}", "--slots", str(slots),
          "--cache-dir", str(cache_dir), "--worker-id", worker_id],
         env=env or _worker_env(),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=new_session,
     )
 
 
@@ -141,14 +142,25 @@ class TestWorkerDeath:
         """SIGKILL one of two workers mid-run: its leases expire, the
         tasks rerun elsewhere, and the figure text does not change."""
         port = _free_port()
-        victim = _start_worker(port, tmp_path / "w1", "w1", slots=1)
+        # The victim's first task hangs, so it is certain to hold a lease
+        # when it dies; it runs in its own session so the SIGKILL takes
+        # its slot process down with it, as a machine death would.
+        victim = _start_worker(
+            port, tmp_path / "w1", "w1", slots=1, new_session=True,
+            env=_worker_env({
+                faults.FAULTS_ENV: "hang_task:delay=120",
+                "PYTHONUNBUFFERED": "1",
+            }),
+        )
         survivor = _start_worker(port, tmp_path / "w2", "w2", slots=1)
 
-        def _kill_later():
-            time.sleep(4.0)
-            victim.kill()
+        def _kill_once_leased():
+            for line in victim.stdout:
+                if "running " in line:
+                    os.killpg(victim.pid, signal.SIGKILL)
+                    return
 
-        killer = threading.Thread(target=_kill_later)
+        killer = threading.Thread(target=_kill_once_leased)
         killer.start()
         try:
             manifest, texts = run_all(

@@ -18,9 +18,11 @@ from repro.bpu import native
 from repro.bpu.mtage import MTageScPredictor
 from repro.bpu.perceptron import PerceptronPredictor
 from repro.bpu.runner import VALID_KERNELS, resolve_kernel, simulate
+from repro.bpu.scaling import scaled_tage_sc_l
 from repro.bpu.simple import GSharePredictor
 from repro.bpu.tage import TagePredictor
 from repro.bpu.tage_sc_l import TageScLPredictor
+from repro.bpu.vector import ReplayBatch, tage_column_arrays
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_spec
 
@@ -123,6 +125,29 @@ class TestKernelNameSingleSource:
     def test_native_is_a_valid_kernel(self):
         assert "native" in VALID_KERNELS
         assert resolve_kernel("native") == "native"
+
+
+class TestTageColumns:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: TagePredictor(10),
+            lambda: TageScLPredictor(16),
+            lambda: scaled_tage_sc_l(64),
+        ],
+        ids=["tage10", "tage_sc_l16", "scaled64"],
+    )
+    def test_compiled_columns_match_vector_columns(self, trace, factory):
+        predictor = factory()
+        tage = getattr(predictor, "tage", predictor)
+        idx_cols, tag_cols, bim_col, finals = tage_column_arrays(tage, ReplayBatch(trace))
+        idx_mat, tag_mat, bim_arr, native_finals = native.native_tage_columns(
+            tage, ReplayBatch(trace)
+        )
+        assert np.array_equal(idx_mat, np.stack(idx_cols))
+        assert np.array_equal(tag_mat, np.stack(tag_cols))
+        assert np.array_equal(bim_arr, bim_col)
+        assert native_finals == [list(f) for f in finals]
 
 
 class TestBenchProvenance:

@@ -16,7 +16,35 @@ from repro.core.search import (
 )
 
 
+def fisher_yates_loop(n, seed):
+    """Test-only oracle: one generator draw per swap, slot by slot."""
+    rng = np.random.default_rng(seed)
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 class TestFisherYates:
+    # 128, 256, 16384 and 32768 are the four formula-space sizes
+    # (ROMBF/Whisper ops, with/without the inversion mux).
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 7, 128, 256, 1000, 16384, 32768, 100000]
+    )
+    @pytest.mark.parametrize("seed", [0x5A17, 0, 1, 12345])
+    def test_matches_per_step_loop(self, n, seed):
+        perm = fisher_yates_permutation(n, seed)
+        want = fisher_yates_loop(n, seed)
+        assert perm.dtype == want.dtype
+        assert np.array_equal(perm, want)
+
+    def test_result_is_read_only(self):
+        perm = fisher_yates_permutation(256, seed=3)
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = perm[1]
+
     def test_is_permutation(self):
         perm = fisher_yates_permutation(1000, seed=1)
         assert sorted(perm.tolist()) == list(range(1000))
@@ -152,6 +180,29 @@ class TestRandomizedTesting:
             errors.append(result.mispredictions)
         assert errors == sorted(errors, reverse=True) or all(
             a >= b for a, b in zip(errors, errors[1:])
+        )
+
+    def test_instances_share_candidates_and_table(self):
+        rng = np.random.default_rng(9)
+        taken = {int(k): 3 for k in rng.integers(0, 256, 30)}
+        nottaken = {int(k): 2 for k in rng.integers(0, 256, 30)}
+        first = FormulaSearch(fraction=0.01, include_bias=False, seed=5)
+        second = FormulaSearch(fraction=0.01, include_bias=False, seed=5)
+        assert np.shares_memory(first.candidates, second.candidates)
+        assert first._table_f is second._table_f
+        assert not first.candidates.flags.writeable
+        assert not first._table_f.flags.writeable
+        a = first.find_best_formula(taken, nottaken)
+        b = second.find_best_formula(taken, nottaken)
+        assert (a.formula, a.mispredictions) == (b.formula, b.mispredictions)
+        # The shared candidates are the per-step loop's prefix, and the
+        # result is Algorithm 1's over them.
+        fresh = fisher_yates_loop(1 << 15, 5)[: len(first.candidates)]
+        assert np.array_equal(first.candidates, fresh)
+        candidates = decode_candidates(fresh)
+        assert find_best_formula_scalar(taken, nottaken, candidates) == (
+            a.formula,
+            a.mispredictions,
         )
 
     def test_invalid_fraction_rejected(self):

@@ -302,6 +302,15 @@ class TestServiceWire:
         finally:
             sock.close()
 
+    def test_close_with_no_client_returns_promptly(self):
+        # Closing must wake the thread blocked in accept() rather than
+        # wait out its join timeout.
+        service = HintService()
+        start = time.monotonic()
+        service.close()
+        assert time.monotonic() - start < 1.0
+        assert not service._accept_thread.is_alive()
+
 
 class TestChaosSearch:
     def test_injected_search_crash_recovers_via_retries(self, monkeypatch):

@@ -11,6 +11,8 @@ When no native backend is available the native runs fall back to the
 vector kernels (with a warning), so the assertions still hold.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,32 @@ class TestFoldedColumns:
             bits.append(int(taken[t]))
         assert col[batch.n] == fold.comp  # post-run register value
 
+    @pytest.mark.parametrize("n_events", (1, 9, 4_000))
+    def test_folded_column_short_traces(self, n_events):
+        # Traces shorter than a fold width leave some stride classes
+        # empty or one position long.
+        batch = ReplayBatch(generate_trace(get_spec("mysql"), 0, n_events))
+        for length, width in ((3, 2), (6, 10), (17, 9), (64, 13)):
+            col = batch._folded_column(length, width)
+            fold = FoldedHistory(length, width)
+            bits = []
+            for t, bit in enumerate(batch.taken.tolist()):
+                assert col[t] == fold.comp, (length, width, t)
+                fold.update(int(bit), bits[-length] if len(bits) >= length else 0)
+                bits.append(int(bit))
+            assert col[batch.n] == fold.comp
+
+    def test_history_bytes_match_history_register(self):
+        # Row t is the 1024-bit global history before branch t, bit 0 =
+        # most recent outcome, little-endian bytes.
+        batch = ReplayBatch(generate_trace(get_spec("cassandra"), 0, 3_000))
+        rows = batch.history_bytes()
+        assert rows.shape == (batch.n, 128) and rows.dtype == np.uint8
+        history = 0
+        for t, bit in enumerate(batch.taken.tolist()):
+            assert int.from_bytes(rows[t].tobytes(), "little") == history, t
+            history = ((history << 1) | int(bit)) & ((1 << 1024) - 1)
+
     @pytest.mark.parametrize("op", ("xor", "or", "and"))
     @pytest.mark.parametrize("length", (1, 7, 8, 9, 61, 200, 1024))
     def test_fold_bytes_matrix_matches_fold_history(self, op, length):
@@ -239,10 +267,35 @@ class TestFoldedColumns:
 
 
 class TestKernelResolution:
-    def test_default_is_vector(self, monkeypatch):
+    def test_default_is_native(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert DEFAULT_KERNEL == "vector"
-        assert resolve_kernel(None) == "vector"
+        assert DEFAULT_KERNEL == "native"
+        assert resolve_kernel(None) == "native"
+
+    def test_default_without_native_backend_runs_vector(self, monkeypatch, tmp_path):
+        # A host with no C toolchain: the default still resolves and
+        # runs, warns once, and predicts exactly as the vector tier.
+        from repro.bpu import native
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        trace = generate_trace(get_spec("cassandra"), 1, 8_000)
+        vector = simulate(trace, TagePredictor(16), kernel="vector")
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_failed", False)
+        monkeypatch.setattr(native, "_warned_fallback", False)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setenv(native.CACHE_ENV_VAR, str(tmp_path / "empty-cache"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = simulate(trace, TagePredictor(16))
+            second = simulate(trace, PerceptronPredictor())
+        fallback_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallback_warnings) == 1
+        assert "falling back to the vector tier" in str(fallback_warnings[0].message)
+        assert first.correct.tobytes() == vector.correct.tobytes()
+        assert second.correct.tobytes() == simulate(
+            trace, PerceptronPredictor(), kernel="vector"
+        ).correct.tobytes()
 
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
